@@ -7,6 +7,7 @@ import (
 	"nucleus/internal/hierarchy"
 	"nucleus/internal/localhi"
 	"nucleus/internal/metrics"
+	inucleus "nucleus/internal/nucleus"
 	"nucleus/internal/query"
 	"nucleus/internal/replica"
 	"nucleus/internal/server"
@@ -66,29 +67,36 @@ type Forest = hierarchy.Forest
 // HierarchyNode is one nucleus in a Forest.
 type HierarchyNode = hierarchy.Node
 
+// walkInstance is the instance the hierarchy functions traverse. They
+// visit each cell's s-cliques at most once, so a flat index would cost
+// more to build than it saves: they always take the on-the-fly instance.
+func walkInstance(g *Graph, dec Decomposition) inucleus.Instance {
+	return instanceFor(g, dec, 0, 1)
+}
+
 // BuildHierarchy materializes the nucleus forest of a decomposition from
 // its κ indices.
 func BuildHierarchy(g *Graph, dec Decomposition, kappa []int32) *Forest {
-	return hierarchy.Build(instanceFor(g, dec), kappa)
+	return hierarchy.Build(walkInstance(g, dec), kappa)
 }
 
 // MaxNucleusCells returns the cells of the maximum nucleus of the given
 // cell: the maximal S-connected set of cells with κ >= κ(cell) around it
 // (the paper's "maximum core of a vertex", generalized).
 func MaxNucleusCells(g *Graph, dec Decomposition, kappa []int32, cell int32) []int32 {
-	return hierarchy.MaxNucleusOf(instanceFor(g, dec), kappa, cell)
+	return hierarchy.MaxNucleusOf(walkInstance(g, dec), kappa, cell)
 }
 
 // NucleiAt returns the cell sets of all k-(r,s) nuclei at threshold k: the
 // S-connected components of the cells with κ >= k.
 func NucleiAt(g *Graph, dec Decomposition, kappa []int32, k int32) [][]int32 {
-	return hierarchy.KNucleusSubgraphs(instanceFor(g, dec), kappa, k)
+	return hierarchy.KNucleusSubgraphs(walkInstance(g, dec), kappa, k)
 }
 
 // CellsToVertices maps a cell set of the given decomposition to its sorted
 // distinct vertex set.
 func CellsToVertices(g *Graph, dec Decomposition, cells []int32) []uint32 {
-	return hierarchy.CellsToVertices(instanceFor(g, dec), cells)
+	return hierarchy.CellsToVertices(walkInstance(g, dec), cells)
 }
 
 // KCoreSubgraph extracts the induced subgraph of the classic k-core (all

@@ -46,7 +46,8 @@ func BenchmarkFig1aTrussConvergence(b *testing.B) {
 
 // BenchmarkFig1bScalability regenerates Figure 1b's kernel: the modeled
 // speedup of parallel local sweeps at 4 and 24 threads under dynamic
-// scheduling (see DESIGN.md §4 on the single-core substitution).
+// scheduling (see the Scaling section of docs/PERFORMANCE.md on measuring
+// with fewer cores than the paper).
 func BenchmarkFig1bScalability(b *testing.B) {
 	inst := fbTruss()
 	deg := inst.Degrees()
@@ -246,25 +247,6 @@ func benchHIndex(b *testing.B, f func([]int32) int32) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f(vals)
-	}
-}
-
-// BenchmarkMaterializedVsOnTheFly quantifies the §5 trade-off: the
-// on-the-fly truss instance re-intersects adjacency lists every sweep,
-// while the materialized instance pays memory for O(1) re-iteration.
-func BenchmarkMaterializedOnTheFly(b *testing.B) {
-	inst := fbTruss()
-	for i := 0; i < b.N; i++ {
-		localhi.And(inst, localhi.Options{Notification: true})
-	}
-}
-
-func BenchmarkMaterializedPrebuilt(b *testing.B) {
-	m := inucleus.Materialize(fbTruss())
-	b.ReportMetric(float64(m.MemoryCells()), "stored-entries")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		localhi.And(m, localhi.Options{Notification: true})
 	}
 }
 

@@ -4,8 +4,7 @@
 // paper's experiments — heavy-tailed degrees, locally dense communities, or
 // web-like sparsity — because the convergence behaviour of the iterated
 // h-index computation is governed by the degree-level structure (Theorem
-// 3), not by the raw size. The substitution is documented per entry and in
-// DESIGN.md §4.
+// 3), not by the raw size. The substitution is documented per entry.
 package dataset
 
 import (

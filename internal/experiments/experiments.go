@@ -100,7 +100,8 @@ func Fig1aConvergence(w io.Writer, d Dec, keys []string, maxIter int) {
 // at several thread counts, against the partially-parallel peeling baseline
 // (Figure 1b). The model uses per-cell s-degrees as work weights and the
 // deterministic scheduler of internal/sched, so the series shape is
-// host-independent (see DESIGN.md §4 on the single-core substitution).
+// host-independent (see the Scaling section of docs/PERFORMANCE.md on
+// measuring with fewer cores than the paper).
 func Fig1bScalability(w io.Writer, d Dec, keys []string, threads []int) {
 	fmt.Fprintf(w, "# Figure 1b style: %s modeled speedup vs threads (dynamic chunking)\n", d)
 	fmt.Fprintf(w, "%-6s", "thr")

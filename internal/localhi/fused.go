@@ -94,11 +94,17 @@ func computeTauFlat(fa flatArrays, c int32, tau []int32, sc *sweepScratch, cur i
 
 // notifyNeighborsFlat wakes every co-member cell of c's s-cliques by
 // scanning the flat row directly (the fused counterpart of the
-// VisitNeighbors closure in And's notification mechanism).
+// VisitNeighbors closure in And's notification mechanism). A flag that is
+// already set is only read, never rewritten: the shared flag lines then
+// stay clean in the other workers' caches. No wakeup is lost, because the
+// owner clears its flag before it reads τ, so a set flag seen here
+// belongs to a compute that will read the τ this worker just lowered.
 //
 //nucleus:noalloc
 func notifyNeighborsFlat(fa flatArrays, c int32, active []int32) {
 	for _, d := range fa.mem[fa.offs[c]:fa.offs[c+1]] {
-		atomic.StoreInt32(&active[d], 1)
+		if atomic.LoadInt32(&active[d]) == 0 {
+			atomic.StoreInt32(&active[d], 1)
+		}
 	}
 }

@@ -12,9 +12,10 @@
 // with per-worker reusable scratch and zero steady-state allocations —
 // while every other instance takes the generic closure path (see fused.go
 // and docs/PERFORMANCE.md). Both algorithms are parallel: cells are
-// distributed to workers with either static (contiguous chunk) or dynamic
-// (work stealing via a shared cursor) scheduling, mirroring the OpenMP
-// discussion in §4.4.
+// distributed to workers with either static (contiguous chunk, par.Ranges)
+// or dynamic (chunks claimed off a shared cursor, par.ForEachWorker)
+// scheduling, mirroring the OpenMP discussion in §4.4. Each worker keeps
+// its scratch and its counters for the whole run.
 //
 // A converged run yields the exact decomposition (Result.Converged);
 // bounding Options.MaxSweeps yields an anytime approximation with the
@@ -31,11 +32,11 @@ package localhi
 import (
 	"math"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"nucleus/internal/hindex"
 	"nucleus/internal/nucleus"
+	"nucleus/internal/par"
 )
 
 // Scheduling selects how sweep work is distributed over workers.
@@ -168,13 +169,12 @@ func Snd(inst nucleus.Instance, opts Options) *Result {
 	prev := make([]int32, n)
 	res := &Result{}
 	cells := sweepCells(n, opts)
+	sw := newSweeper(len(cells), opts)
 	fa, flat := flatOf(inst)
 
 	for {
 		copy(prev, tau)
-		var updates, visits int64
-		parallelFor(len(cells), opts, func(lo, hi int, sc *sweepScratch) (int64, int64) {
-			var upd, vis int64
+		sum := sw.sweep(func(sc *sweepScratch, lo, hi int) (k counts) {
 			for i := lo; i < hi; i++ {
 				c := cells[i]
 				var h int32
@@ -189,16 +189,17 @@ func Snd(inst nucleus.Instance, opts Options) *Result {
 				default:
 					h, v = computeTau(inst, c, prev, sc)
 				}
-				vis += v
+				k.visits += v
 				if h != prev[c] {
-					upd++
+					k.updates++
 				}
 				tau[c] = h
 			}
-			return upd, vis
-		}, &updates, &visits)
+			return k
+		})
+		updates := sum.updates
 		res.Sweeps++
-		res.WorkVisits += visits
+		res.WorkVisits += sum.visits
 		res.SweepUpdates = append(res.SweepUpdates, updates)
 		if updates > 0 {
 			res.Iterations++
@@ -233,11 +234,19 @@ func Snd(inst nucleus.Instance, opts Options) *Result {
 // values (Gauss–Seidel iteration), optionally skipping cells whose
 // neighborhood is unchanged (notification mechanism).
 func And(inst nucleus.Instance, opts Options) *Result {
+	res, _ := and(inst, opts)
+	return res
+}
+
+// and is And, also returning the run's sweeper so tests can reconcile its
+// per-worker counters with the Result totals.
+func and(inst nucleus.Instance, opts Options) (*Result, *sweeper) {
 	n := inst.NumCells()
 	tau := initialTau(inst, opts)
 	res := &Result{}
 	cells := sweepCells(n, opts)
-	par := opts.threads() > 1
+	sw := newSweeper(len(cells), opts)
+	concurrent := opts.threads() > 1
 	fa, flat := flatOf(inst)
 
 	var active []int32
@@ -249,14 +258,12 @@ func And(inst nucleus.Instance, opts Options) *Result {
 	}
 
 	runSweep := func(ignoreFlags bool) (updates int64) {
-		var visits, skipped int64
-		parallelFor(len(cells), opts, func(lo, hi int, sc *sweepScratch) (int64, int64) {
-			var upd, vis int64
+		sum := sw.sweep(func(sc *sweepScratch, lo, hi int) (k counts) {
 			for i := lo; i < hi; i++ {
 				c := cells[i]
 				if active != nil && !ignoreFlags {
 					if atomic.LoadInt32(&active[c]) == 0 {
-						atomic.AddInt64(&skipped, 1)
+						k.skipped++
 						continue
 					}
 					// Clear before computing: a notification that arrives
@@ -268,21 +275,21 @@ func And(inst nucleus.Instance, opts Options) *Result {
 				var v int64
 				switch {
 				case flat && opts.Preserve:
-					h, v = computeTauFlat(fa, c, tau, sc, loadTau(par, tau, c), true, par)
+					h, v = computeTauFlat(fa, c, tau, sc, loadTau(concurrent, tau, c), true, concurrent)
 				case flat:
-					h, v = computeTauFlat(fa, c, tau, sc, 0, false, par)
+					h, v = computeTauFlat(fa, c, tau, sc, 0, false, concurrent)
 				case opts.Preserve:
-					h, v = computeTauPreserve(inst, c, tau, sc, loadTau(par, tau, c), par)
-				case par:
+					h, v = computeTauPreserve(inst, c, tau, sc, loadTau(concurrent, tau, c), concurrent)
+				case concurrent:
 					h, v = computeTauAtomic(inst, c, tau, sc)
 				default:
 					h, v = computeTau(inst, c, tau, sc)
 				}
-				vis += v
-				old := loadTau(par, tau, c)
+				k.visits += v
+				old := loadTau(concurrent, tau, c)
 				if h < old {
-					storeTau(par, tau, c, h)
-					upd++
+					storeTau(concurrent, tau, c, h)
+					k.updates++
 					if active != nil {
 						if flat {
 							notifyNeighborsFlat(fa, c, active)
@@ -295,11 +302,12 @@ func And(inst nucleus.Instance, opts Options) *Result {
 					}
 				}
 			}
-			return upd, vis
-		}, &updates, &visits)
+			return k
+		})
+		updates = sum.updates
 		res.Sweeps++
-		res.WorkVisits += visits
-		res.SkippedCells += skipped
+		res.WorkVisits += sum.visits
+		res.SkippedCells += sum.skipped
 		res.SweepUpdates = append(res.SweepUpdates, updates)
 		if updates > 0 {
 			res.Iterations++
@@ -356,7 +364,7 @@ func And(inst nucleus.Instance, opts Options) *Result {
 	if opts.Progress != nil {
 		opts.Progress.finish(res)
 	}
-	return res
+	return res, sw
 }
 
 // computeTau evaluates the update operator U for cell c against the given τ
@@ -408,7 +416,7 @@ func computeTauAtomic(inst nucleus.Instance, c int32, tau []int32, sc *sweepScra
 // the full ρ list cannot exceed cur, and cur supporting s-cliques (each
 // with ρ >= cur) certify that it equals cur. Cells already at zero skip
 // enumeration entirely.
-func computeTauPreserve(inst nucleus.Instance, c int32, tau []int32, sc *sweepScratch, cur int32, par bool) (int32, int64) {
+func computeTauPreserve(inst nucleus.Instance, c int32, tau []int32, sc *sweepScratch, cur int32, concurrent bool) (int32, int64) {
 	if cur <= 0 {
 		return 0, 0
 	}
@@ -420,7 +428,7 @@ func computeTauPreserve(inst nucleus.Instance, c int32, tau []int32, sc *sweepSc
 		rho := int32(math.MaxInt32)
 		for _, d := range others {
 			var v int32
-			if par {
+			if concurrent {
 				v = atomic.LoadInt32(&tau[d])
 			} else {
 				v = tau[d]
@@ -447,15 +455,15 @@ func computeTauPreserve(inst nucleus.Instance, c int32, tau []int32, sc *sweepSc
 	return hindex.LinearInto(vals, &sc.cnt), visits
 }
 
-func loadTau(par bool, tau []int32, c int32) int32 {
-	if par {
+func loadTau(concurrent bool, tau []int32, c int32) int32 {
+	if concurrent {
 		return atomic.LoadInt32(&tau[c])
 	}
 	return tau[c]
 }
 
-func storeTau(par bool, tau []int32, c int32, v int32) {
-	if par {
+func storeTau(concurrent bool, tau []int32, c int32, v int32) {
+	if concurrent {
 		atomic.StoreInt32(&tau[c], v)
 		return
 	}
@@ -495,76 +503,79 @@ func sweepCells(n int, opts Options) []int32 {
 	return cells
 }
 
-// parallelFor executes body over [0,n) split across opts.threads() workers,
-// accumulating the two int64 outputs of each body invocation into updates
-// and visits. Each worker owns one sweepScratch for its whole lifetime, so
-// per-cell computations allocate nothing once the scratch has grown to the
-// largest row. Sequential when a single thread is requested.
-func parallelFor(n int, opts Options, body func(lo, hi int, sc *sweepScratch) (int64, int64), updates, visits *int64) {
-	t := opts.threads()
-	if t > n {
-		t = n
+// counts tallies the work of a chunk, a sweep or a whole run: τ
+// decrements, s-clique visits and cells skipped by notification.
+type counts struct {
+	updates, visits, skipped int64
+}
+
+func (k *counts) add(o counts) {
+	k.updates += o.updates
+	k.visits += o.visits
+	k.skipped += o.skipped
+}
+
+// worker is one sweep worker's state for a whole run: its scratch, grown
+// once to the longest row and reused by every later cell and sweep, and
+// its counts summed over the run. Only worker w touches workers[w] during
+// a sweep, and the coordinator reads the counts only after the sweep's
+// barrier, so nothing here is atomic. The padding keeps neighbouring
+// workers, whose scratch headers change on every cell, off each other's
+// cache lines.
+type worker struct {
+	sc    sweepScratch
+	total counts
+	_     [64]byte
+}
+
+// sweeper splits the sweeps of one run over the shared parallel loops of
+// internal/par: par.ForEachWorker hands out chunk-sized ranges for Dynamic
+// scheduling, par.Ranges one contiguous range per worker for Static. A
+// single thread runs inline on the calling goroutine.
+type sweeper struct {
+	n, threads, chunk int
+	static            bool
+	workers           []worker
+	done              counts // the workers' totals after the last sweep
+}
+
+func newSweeper(n int, opts Options) *sweeper {
+	t := max(min(opts.threads(), n), 1)
+	return &sweeper{
+		n:       n,
+		threads: t,
+		chunk:   opts.chunk(),
+		static:  opts.Scheduling == Static,
+		workers: make([]worker, t),
 	}
-	if t <= 1 {
-		sc := &sweepScratch{vals: make([]int32, 0, 64)}
-		u, v := body(0, n, sc)
-		*updates += u
-		*visits += v
-		return
+}
+
+// sweep runs body over [0, n) split into ranges, folds each range's counts
+// into its worker's total — one add per range, never one per cell — and
+// returns the counts of this sweep.
+func (s *sweeper) sweep(body func(sc *sweepScratch, lo, hi int) counts) counts {
+	run := func(w, lo, hi int) {
+		wk := &s.workers[w]
+		wk.total.add(body(&wk.sc, lo, hi))
 	}
-	var wg sync.WaitGroup
-	var uTotal, vTotal int64
-	switch opts.Scheduling {
-	case Static:
-		per := (n + t - 1) / t
-		for w := 0; w < t; w++ {
-			lo := w * per
-			hi := lo + per
-			if hi > n {
-				hi = n
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				sc := &sweepScratch{vals: make([]int32, 0, 64)}
-				u, v := body(lo, hi, sc)
-				atomic.AddInt64(&uTotal, u)
-				atomic.AddInt64(&vTotal, v)
-			}(lo, hi)
-		}
-	default: // Dynamic
-		chunk := opts.chunk()
-		var cursor int64
-		for w := 0; w < t; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sc := &sweepScratch{vals: make([]int32, 0, 64)}
-				var u, v int64
-				for { //nucleus:lint-ignore ctxstop steal loop is bounded by the shared cursor reaching n; Stop is honored between sweeps where partial τ stays consistent
-					lo := int(atomic.AddInt64(&cursor, int64(chunk))) - chunk
-					if lo >= n {
-						break
-					}
-					hi := lo + chunk
-					if hi > n {
-						hi = n
-					}
-					du, dv := body(lo, hi, sc)
-					u += du
-					v += dv
-				}
-				atomic.AddInt64(&uTotal, u)
-				atomic.AddInt64(&vTotal, v)
-			}()
-		}
+	if s.static {
+		par.Ranges(s.n, s.threads, run)
+	} else {
+		par.ForEachWorker(s.n, s.chunk, s.threads, run)
 	}
-	wg.Wait()
-	*updates += uTotal
-	*visits += vTotal
+	all := s.totals()
+	k := counts{all.updates - s.done.updates, all.visits - s.done.visits, all.skipped - s.done.skipped}
+	s.done = all
+	return k
+}
+
+// totals sums the workers' counts over the run so far.
+func (s *sweeper) totals() counts {
+	var all counts
+	for i := range s.workers {
+		all.add(s.workers[i].total)
+	}
+	return all
 }
 
 // DefaultThreads returns a sensible worker count for parallel runs.

@@ -10,7 +10,7 @@ import (
 
 func TestEarlyStopAllInstances(t *testing.T) {
 	g := graph.Complete(6)
-	for _, inst := range []Instance{NewCore(g), NewTruss(g), NewN34(g), NewHyper(g, 2, 3), Materialize(NewTruss(g))} {
+	for _, inst := range []Instance{NewCore(g), NewTruss(g), NewN34(g), NewHyper(g, 2, 3), NewIndexedTruss(g, 1), NewIndexedN34(g, 1)} {
 		count := 0
 		inst.VisitSCliques(0, func([]int32) bool {
 			count++
@@ -26,6 +26,30 @@ func TestEarlyStopAllInstances(t *testing.T) {
 		})
 		if count != 1 {
 			t.Errorf("(%d,%d): VisitNeighbors early stop visited %d", inst.R(), inst.S(), count)
+		}
+	}
+}
+
+// The materialized-index visitors must honour a stop that comes after the
+// first s-clique, not only on the first.
+func TestMaterializedEarlyStop(t *testing.T) {
+	g := graph.Complete(6)
+	for _, inst := range []Instance{NewIndexedTruss(g, 1), NewIndexedN34(g, 1)} {
+		count := 0
+		inst.VisitSCliques(0, func([]int32) bool {
+			count++
+			return count < 2
+		})
+		if count != 2 {
+			t.Fatalf("(%d,%d): early stop ignored: %d", inst.R(), inst.S(), count)
+		}
+		count = 0
+		inst.VisitNeighbors(0, func(int32) bool {
+			count++
+			return count < 2
+		})
+		if count != 2 {
+			t.Fatalf("(%d,%d): neighbor early stop ignored: %d", inst.R(), inst.S(), count)
 		}
 	}
 }
@@ -91,14 +115,16 @@ func TestHyperDisconnectedSmallS(t *testing.T) {
 	})
 }
 
+// The instances with a materialized incidence index must hand out copies of
+// their degree arrays too.
 func TestMaterializedDegreesCopied(t *testing.T) {
 	g := graph.Complete(4)
-	m := Materialize(NewCore(g))
-	d1 := m.Degrees()
-	d1[0] = 99
-	d2 := m.Degrees()
-	if d2[0] == 99 {
-		t.Fatal("Degrees returned aliased storage")
+	for _, inst := range []Instance{NewIndexedTruss(g, 1), NewIndexedN34(g, 1)} {
+		d1 := inst.Degrees()
+		d1[0] = 99
+		if inst.Degrees()[0] == 99 {
+			t.Fatalf("(%d,%d): Degrees returned aliased storage", inst.R(), inst.S())
+		}
 	}
 }
 

@@ -178,6 +178,11 @@ func ParseFamily(s string) (Family, error) {
 	return 0, fmt.Errorf("nucleus: unknown family %q (want core, truss or n34)", s)
 }
 
+// DefaultIndexBudget is the flat-index memory budget, in bytes, that the
+// library's Decompose and the server apply to one instance: past it, Build
+// falls back to the on-the-fly instance.
+const DefaultIndexBudget int64 = 1 << 30 // 1 GiB
+
 // BuildReport describes what Build constructed.
 type BuildReport struct {
 	Family Family
@@ -260,4 +265,18 @@ func sumInt32(vals []int32) int64 {
 		s += int64(v)
 	}
 	return s
+}
+
+// OnTheFly returns the on-the-fly instance over the same cells as inst,
+// sharing its graph, triangle index and s-degrees but not its flat
+// incidence index, so a caller that keeps only the result lets the index
+// be collected. Instances without an index are returned as they are.
+func OnTheFly(inst Instance) Instance {
+	switch in := inst.(type) {
+	case *IndexedTruss:
+		return &Truss{G: in.G, deg: in.deg}
+	case *IndexedN34:
+		return &N34{G: in.G, Idx: in.Idx, deg: in.deg}
+	}
+	return inst
 }

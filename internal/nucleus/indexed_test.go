@@ -108,6 +108,26 @@ func TestIndexedN34MatchesN34(t *testing.T) {
 	}
 }
 
+// TestOnTheFlyDropsIndex checks that the view OnTheFly takes of an
+// indexed instance is the same instance without the index, and that
+// instances with no index come back unchanged.
+func TestOnTheFlyDropsIndex(t *testing.T) {
+	for gi, g := range propertyGraphs() {
+		for _, ix := range []nucleus.Instance{nucleus.NewIndexedTruss(g, 2), nucleus.NewIndexedN34(g, 2)} {
+			view := nucleus.OnTheFly(ix)
+			if _, ok := view.(nucleus.FlatIncidence); ok {
+				t.Fatalf("graph %d (%d,%d): OnTheFly kept the flat index", gi, ix.R(), ix.S())
+			}
+			assertInstancesAgree(t, gi, view, ix)
+		}
+		for _, inst := range []nucleus.Instance{nucleus.NewCore(g), nucleus.NewTruss(g)} {
+			if nucleus.OnTheFly(inst) != inst {
+				t.Fatalf("graph %d (%d,%d): OnTheFly replaced an instance with no index", gi, inst.R(), inst.S())
+			}
+		}
+	}
+}
+
 func TestBuildBudgetAdaptivity(t *testing.T) {
 	g := graph.PlantedCommunities(3, 12, 0.6, 30, 5)
 

@@ -10,10 +10,13 @@
 //
 // Concrete instances:
 //
-//	Core  — (1,2): cells are vertices, s-cliques are edges
-//	Truss — (2,3): cells are edges, s-cliques are triangles (on the fly)
-//	N34   — (3,4): cells are triangles, s-cliques are 4-cliques (on the fly)
-//	Hyper — any (r,s): explicit hypergraph from k-clique enumeration
+//	Core         — (1,2): cells are vertices, s-cliques are edges
+//	IndexedTruss — (2,3): cells are edges, s-cliques are triangles (flat index)
+//	IndexedN34   — (3,4): cells are triangles, s-cliques are 4-cliques (flat index)
+//	Truss, N34   — the same two families on the fly: Build's fallback when
+//	               the flat index would exceed its memory budget
+//	FlatRS       — any (r,s): flat index over enumerated r- and s-cliques
+//	Hyper        — any (r,s): explicit hypergraph from k-clique enumeration
 package nucleus
 
 import (

@@ -44,6 +44,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nucleus/internal/nucleus"
 	"nucleus/internal/replica"
 	"nucleus/internal/store"
 )
@@ -92,11 +93,12 @@ type Config struct {
 	// IndexMemBudget caps the estimated size, in bytes, of one flat
 	// s-clique incidence index (see nucleus.Build): instances whose index
 	// would exceed it fall back to on-the-fly s-clique discovery. 0
-	// defaults to 1 GiB; negative disables flat indexing entirely. Note
-	// the sentinel difference from nucleus.Build (where 0 disables and
-	// negative means unlimited): a Config zero value must select the
-	// default, so "effectively unlimited" is expressed here with a huge
-	// positive value.
+	// defaults to nucleus.DefaultIndexBudget (1 GiB), the budget the
+	// library's Decompose applies too; negative disables flat indexing
+	// entirely. Note the sentinel difference from nucleus.Build (where 0
+	// disables and negative means unlimited): a Config zero value must
+	// select the default, so "effectively unlimited" is expressed here
+	// with a huge positive value.
 	IndexMemBudget int64
 	// Store is the durable persistence backend: uploads become snapshots,
 	// edit batches are write-ahead logged, and New replays both to recover
@@ -133,10 +135,6 @@ type Config struct {
 // Config.WALCompactBytes is zero.
 const defaultWALCompactBytes = 4 << 20 // 4 MiB
 
-// defaultIndexMemBudget is the per-instance flat-index budget applied when
-// Config.IndexMemBudget is zero.
-const defaultIndexMemBudget = 1 << 30 // 1 GiB
-
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 2
@@ -163,7 +161,7 @@ func (c Config) withDefaults() Config {
 		c.JobHistory = 256
 	}
 	if c.IndexMemBudget == 0 {
-		c.IndexMemBudget = defaultIndexMemBudget
+		c.IndexMemBudget = nucleus.DefaultIndexBudget
 	}
 	if c.Store == nil {
 		c.Store = store.Null()

@@ -16,6 +16,12 @@
 // (3,4) over triangles and 4-clique counts — the paper's recommended sweet
 // spot for dense subgraph quality. DecomposeRS supports any r < s via a
 // flat clique-incidence index (practical for small graphs).
+//
+// Decompose builds the instance in parallel over Options.Threads and
+// materializes the flat s-clique incidence index whenever it fits the
+// shared 1 GiB budget (the one nucleusd applies), so the sweeps and the
+// peel run as array scans. Past the budget the instance discovers
+// s-cliques on the fly by adjacency intersection, with the same κ.
 package nucleus
 
 import (
@@ -93,11 +99,12 @@ const (
 type Options struct {
 	// Algorithm selects AND (default), SND or Peel.
 	Algorithm Algorithm
-	// Threads is the worker count; <=1 runs sequentially. The local
-	// algorithms split sweeps across workers; Peel runs the parallel
-	// bucket engine, peeling each minimum-degree frontier across workers
-	// with a deterministic barrier merge (results are bit-identical at
-	// every thread count).
+	// Threads is the worker count; <=1 runs sequentially. Instance
+	// construction (s-clique counting, triangle enumeration and the flat
+	// incidence index) runs on these workers; the local algorithms split
+	// sweeps across them; Peel runs the parallel bucket engine, peeling
+	// each minimum-degree frontier across workers with a deterministic
+	// barrier merge (results are bit-identical at every thread count).
 	Threads int
 	// MaxSweeps bounds local iterations; 0 runs to convergence. A bounded
 	// run returns an approximation: τ ≥ κ pointwise.
@@ -141,44 +148,53 @@ type Result struct {
 	Iterations int
 	// Sweeps counts all local sweeps including the convergence check.
 	Sweeps int
-	inst   inucleus.Instance
+	// inst names the cells: the instance the run used, minus its flat
+	// incidence index (inucleus.OnTheFly), so a Result of Decompose never
+	// keeps an index alive.
+	inst inucleus.Instance
 }
 
-// Decompose computes the selected decomposition of g.
+// Decompose computes the selected decomposition of g. The instance is
+// built over Options.Threads workers, with the flat incidence index when
+// it fits the shared 1 GiB index budget.
 func Decompose(g *Graph, dec Decomposition, opts Options) *Result {
-	return decomposeInstance(instanceFor(g, dec), dec, opts)
+	return decompose(g, dec, opts, inucleus.DefaultIndexBudget)
+}
+
+// decompose is Decompose under an explicit index budget (bytes; 0 never
+// indexes, negative is unlimited).
+func decompose(g *Graph, dec Decomposition, opts Options, budget int64) *Result {
+	return decomposeInstance(instanceFor(g, dec, budget, opts.Threads), dec, opts)
 }
 
 // DecomposeRS computes the generic (r,s) decomposition (r < s). The
-// first-class pairs (1,2), (2,3) and (3,4) route to the same instances
-// Decompose uses — cells are numbered by the family's canonical ids
-// (vertices, edge ids, triangle ids) and the flat s-clique incidence index
-// is built in parallel over Options.Threads. Any other pair materializes a
-// flat CSR incidence over the enumerated r-/s-cliques (nucleus.FlatRS), so
-// generic (r,s) runs the exact same engines: the fused sweep kernels of
-// the local algorithms and the parallel peeling frontier. Enumeration
-// keeps the generic path practical for small-to-medium graphs only.
+// first-class pairs (1,2), (2,3) and (3,4) run exactly as Decompose runs
+// KCore, KTruss and Nucleus34 — cells are numbered by the family's
+// canonical ids (vertices, edge ids, triangle ids) and the flat s-clique
+// incidence index is built in parallel over Options.Threads within the
+// same budget — except that Result.Decomposition is -1. Any other pair
+// materializes a flat CSR incidence over the enumerated r-/s-cliques
+// (nucleus.FlatRS), so generic (r,s) runs the exact same engines: the
+// fused sweep kernels of the local algorithms and the parallel peeling
+// frontier. Enumeration keeps the generic path practical for
+// small-to-medium graphs only.
 func DecomposeRS(g *Graph, r, s int, opts Options) *Result {
-	threads := opts.Threads
-	if threads < 1 {
-		threads = 1
-	}
-	var inst inucleus.Instance
+	var dec Decomposition
 	switch {
 	case r == 1 && s == 2:
-		inst = inucleus.NewCore(g)
+		dec = KCore
 	case r == 2 && s == 3:
-		inst, _ = inucleus.Build(g, inucleus.FamilyTruss, -1, threads)
+		dec = KTruss
 	case r == 3 && s == 4:
-		inst, _ = inucleus.Build(g, inucleus.FamilyN34, -1, threads)
+		dec = Nucleus34
 	default:
-		inst = inucleus.NewFlatRS(g, r, s, threads)
+		return decomposeInstance(inucleus.NewFlatRS(g, r, s, max(opts.Threads, 1)), Decomposition(-1), opts)
 	}
-	return decomposeInstance(inst, Decomposition(-1), opts)
+	return decomposeInstance(instanceFor(g, dec, inucleus.DefaultIndexBudget, opts.Threads), Decomposition(-1), opts)
 }
 
 func decomposeInstance(inst inucleus.Instance, dec Decomposition, opts Options) *Result {
-	res := &Result{Decomposition: dec, inst: inst}
+	res := &Result{Decomposition: dec, inst: inucleus.OnTheFly(inst)}
 	switch opts.Algorithm {
 	case Peel:
 		pr := peel.RunThreads(inst, opts.Threads)
@@ -224,24 +240,25 @@ func fillLocal(res *Result, lr *localhi.Result) {
 	}
 }
 
-func instanceFor(g *Graph, dec Decomposition) inucleus.Instance {
+// instanceFor builds the instance of a first-class decomposition through
+// inucleus.Build on the given thread count: the flat indexed instance when
+// its index fits budget (bytes; 0 never indexes, negative is unlimited),
+// the on-the-fly instance otherwise. Every library path chooses its
+// instance here.
+func instanceFor(g *Graph, dec Decomposition, budget int64, threads int) inucleus.Instance {
+	var fam inucleus.Family
 	switch dec {
 	case KCore:
-		return inucleus.NewCore(g)
+		fam = inucleus.FamilyCore
 	case KTruss:
-		return inucleus.NewTruss(g)
+		fam = inucleus.FamilyTruss
 	case Nucleus34:
-		return inucleus.NewN34(g)
+		fam = inucleus.FamilyN34
+	default:
+		panic(fmt.Sprintf("nucleus: unknown decomposition %d", dec))
 	}
-	panic(fmt.Sprintf("nucleus: unknown decomposition %d", dec))
-}
-
-// DecomposeMaterialized is Decompose over a materialized instance: the
-// s-clique co-member lists are computed once and stored, trading memory
-// for avoiding per-sweep re-enumeration (the §5 trade-off). Profitable
-// when many sweeps run on a graph whose s-clique lists fit in memory.
-func DecomposeMaterialized(g *Graph, dec Decomposition, opts Options) *Result {
-	return decomposeInstance(inucleus.Materialize(instanceFor(g, dec)), dec, opts)
+	inst, _ := inucleus.Build(g, fam, budget, max(threads, 1))
+	return inst
 }
 
 // CellLabel formats cell c of the result's decomposition for display

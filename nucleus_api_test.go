@@ -39,17 +39,6 @@ func TestKCoreSubgraphAPI(t *testing.T) {
 	}
 }
 
-func TestDecomposeMaterialized(t *testing.T) {
-	g := PowerLawCluster(200, 4, 0.5, 59)
-	for _, dec := range []Decomposition{KCore, KTruss, Nucleus34} {
-		want := Decompose(g, dec, Options{Algorithm: Peel})
-		got := DecomposeMaterialized(g, dec, Options{Algorithm: AND})
-		if ExactFraction(got.Kappa, want.Kappa) != 1 {
-			t.Fatalf("%v materialized decomposition differs", dec)
-		}
-	}
-}
-
 func TestDynamicAPI(t *testing.T) {
 	dg := NewDynamicGraph(4)
 	dg.InsertEdge(0, 1)
